@@ -33,8 +33,6 @@ final class AutoTuner(
 
   private val deadlines = mutable.LinkedHashMap[Int, Double](initialDeadlines.toSeq: _*)
   private var lastAct = -1e18
-  private var lastSample = -1e18
-  private var collector: InfoCollector = _
   private var predictor: Predictor = _
   private var filter: RequestFilter = _
 
@@ -44,12 +42,10 @@ final class AutoTuner(
   def setDeadline(stageId: Int, deadline: Double): Unit = deadlines(stageId) = deadline
 
   def step(now: Double, qe: QueryExec, sched: DynamicScheduler): Unit = {
-    if (collector == null) {
-      collector = new InfoCollector(qe)
-      predictor = new Predictor(qe, collector)
+    if (predictor == null) {
+      predictor = new Predictor(qe, qe.collector)
       filter = new RequestFilter(predictor)
     }
-    if (now - lastSample >= 1.0) { collector.sample(now); lastSample = now }
     if (now - lastAct < period) return
     lastAct = now
 
@@ -68,8 +64,8 @@ final class AutoTuner(
                 // stateless, so raising its driver count is scheduling-only
                 scan.foreach(s => speedUp(qe, sched, s, tRemain, timeLeft, now))
               } else if (tRemain < timeLeft * aheadFactor) {
-                slowDown(sched, t, tRemain, timeLeft, now)
-                scan.foreach(s => slowDown(sched, s, tRemain, timeLeft, now))
+                slowDown(qe, sched, t, tRemain, timeLeft, now)
+                scan.foreach(s => slowDown(qe, sched, s, tRemain, timeLeft, now))
               }
             }
         }
@@ -91,14 +87,18 @@ final class AutoTuner(
     tunable.collectFirst { case j: JoinStageExec => j }.orElse(tunable.headOption)
   }
 
-  private def act(qe: QueryExec, sched: DynamicScheduler, a: TuningAction, now: Double): Unit =
+  /** Vet → apply → record, raises and reductions alike; `from` is the current DOP. */
+  private def act(qe: QueryExec, sched: DynamicScheduler, a: TuningAction, from: Int,
+                  now: Double): Unit = {
+    val line = TuningScript.render(a, from)
     filter.vet(a, qe, now) match {
       case Right(()) =>
         sched.apply(a, now)
-        decisions += ((now, s"APPLIED ${TuningScript.render(a)}"))
+        decisions += ((now, s"APPLIED $line"))
       case Left(reason) =>
-        decisions += ((now, s"REJECTED ${TuningScript.render(a)}: $reason"))
+        decisions += ((now, s"REJECTED $line: $reason"))
     }
+  }
 
   /** Drivers are threads: more of them than the node has cores is waste. */
   private def taskDopCap(t: StageExec): Int = {
@@ -114,29 +114,27 @@ final class AutoTuner(
     if (curTd < cap) {
       val newTd = math.min(cap,
         math.max(curTd + 1, math.ceil(curTd * factor).toInt))
-      act(qe, sched, SetTaskDop(now, t.id, newTd), now)
-    } else t match {
-      case j: JoinStageExec =>
-        val cur = j.activeGroup.dop
-        val newSd = math.min(maxStageDop, math.max(cur + 1, math.ceil(cur * factor).toInt))
-        if (newSd > cur) act(qe, sched, SetStageDop(now, j.id, newSd), now)
-      case p: PipeStageExec =>
-        val cur = p.activeGroup.tasks.count(!_.finished)
-        val newSd = math.min(maxStageDop, math.max(cur + 1, math.ceil(cur * factor).toInt))
-        if (newSd > cur) act(qe, sched, SetStageDop(now, p.id, newSd), now)
-      case _ => ()
+      act(qe, sched, SetTaskDop(now, t.id, newTd), curTd, now)
+    } else {
+      val cur = t match {
+        case j: JoinStageExec => Some(j.activeGroup.dop)
+        case p: PipeStageExec => Some(p.receivingTasks.size)
+        case _ => None
+      }
+      cur.foreach { c =>
+        val newSd = math.min(maxStageDop, math.max(c + 1, math.ceil(c * factor).toInt))
+        if (newSd > c) act(qe, sched, SetStageDop(now, t.id, newSd), c, now)
+      }
     }
   }
 
-  private def slowDown(sched: DynamicScheduler, t: StageExec,
+  /** Reduction ("RP", §6.5.2): fewer drivers, scheduling overhead only. */
+  private def slowDown(qe: QueryExec, sched: DynamicScheduler, t: StageExec,
                        tRemain: Double, timeLeft: Double, now: Double): Unit = {
     val curTd = t.taskDop
     if (curTd > 1) {
       val newTd = math.max(1, math.ceil(curTd * tRemain / (timeLeft * 0.9)).toInt)
-      if (newTd < curTd) {
-        sched.setTaskDop(t.id, newTd, now) // reduction: scheduling overhead only
-        decisions += ((now, s"APPLIED RP S${t.id},$curTd,$newTd@$now"))
-      }
+      if (newTd < curTd) act(qe, sched, SetTaskDop(now, t.id, newTd), curTd, now)
     }
   }
 }

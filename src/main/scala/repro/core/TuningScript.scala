@@ -33,8 +33,9 @@ object TuningScript {
     script.split("[\n;]").map(_.trim).filter(s => s.nonEmpty && !s.startsWith("#"))
       .map(parseLine).toVector.sortBy(_.at)
 
-  def render(a: TuningAction): String = a match {
-    case SetTaskDop(at, sid, to) => s"AC S$sid,?,$to@$at"
-    case SetStageDop(at, sid, to) => s"AP S$sid,?,$to@$at"
+  /** `a` from DOP `from` in paper notation; reductions of either kind print as RP. */
+  def render(a: TuningAction, from: Int): String = {
+    val op = if (a.to < from) "RP" else a match { case _: SetTaskDop => "AC"; case _: SetStageDop => "AP" }
+    s"$op S${a.stageId},$from,${a.to}@${a.at}"
   }
 }

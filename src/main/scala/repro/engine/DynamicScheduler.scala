@@ -68,7 +68,7 @@ final class DynamicScheduler(val qe: QueryExec) {
   /** Intra-stage DOP: task count of the stage. */
   def setStageDop(stageId: Int, to: Int, now: Double): Unit = qe.stage(stageId) match {
     case j: JoinStageExec if j.joinDef.broadcast =>
-      val cur = j.activeGroup.tasks.count(!_.finished)
+      val cur = j.receivingTasks.size
       if (to > cur) {
         j.addBroadcastTasks(to - cur, now)
         note(now, s"AP S$stageId $cur -> $to (broadcast rebuild)")
@@ -90,10 +90,10 @@ final class DynamicScheduler(val qe: QueryExec) {
         note(now, s"AP S$stageId $cur -> $to (DOP switch)")
       }
     case p: PipeStageExec =>
-      val cur = p.activeGroup.tasks.count(!_.finished)
+      val cur = p.receivingTasks.size
       if (to > cur) (cur until to).foreach(_ => p.addTask(now))
       else if (to < cur) (to until cur).foreach(_ => p.removeTask(now))
-      note(now, s"AP S$stageId $cur -> $to")
+      note(now, s"${if (to < cur) "RP" else "AP"} S$stageId $cur -> $to")
     case s =>
       note(now, s"IGNORED stage-DOP S$stageId: ${s.kindName} has fixed stage DOP")
   }
@@ -102,7 +102,7 @@ final class DynamicScheduler(val qe: QueryExec) {
     * and end-mark its queues so it drains and closes.
     */
   private def removeBroadcastTask(j: JoinStageExec): Boolean = {
-    val candidates = j.activeGroup.tasks.filter(t => !t.finished && t.hashReady)
+    val candidates = j.receivingTasks.filter(_.hashReady)
     if (candidates.size <= 1) false
     else {
       val t = candidates.last
@@ -110,6 +110,7 @@ final class DynamicScheduler(val qe: QueryExec) {
         t.probeQueues.foreach(q => p.outputBuffer.removeTarget(q))
       }
       t.probeQueues.foreach(_.markEnd())
+      t.draining = true
       true
     }
   }

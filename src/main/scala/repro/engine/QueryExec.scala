@@ -34,6 +34,9 @@ final class QueryExec(val plan: QueryPlan, val cluster: Cluster, val costs: Cost
     m
   }
 
+  /** The query's one runtime information collector (§5.1); the Simulator samples it. */
+  val collector = new InfoCollector(this)
+
   def stage(id: Int): StageExec = execs(id)
   def stages: Vector[StageExec] = execs.values.toVector
   def scanStages: Vector[ScanStageExec] = stages.collect { case s: ScanStageExec => s }

@@ -22,7 +22,8 @@ final case class SimResult(
 /** Discrete-time executor: advances the virtual clock tick by tick, applying
   * scripted tuning actions and the auto-tuner, fair-sharing node cores over
   * runnable drivers, and running housekeeping (end propagation, rebuild
-  * phases, elastic buffer maintenance, metric sampling).
+  * phases, elastic buffer maintenance). It alone samples `qe.collector`: once
+  * a virtual second, between the scripted actions and the tuner, and at the end.
   *
   * Deterministic: same plan + data + script ⇒ identical results and timings.
   */
@@ -34,7 +35,7 @@ final class Simulator(
     maxVirtualSeconds: Double = 50000.0,
 ) {
   val sched = new DynamicScheduler(qe)
-  val collector = new InfoCollector(qe)
+  val collector: InfoCollector = qe.collector
 
   private def applyAction(a: TuningAction): Unit = gate.vet(a, qe, qe.now) match {
     case Left(reason) => sched.note(qe.now, s"REJECTED $a: $reason")
@@ -50,9 +51,11 @@ final class Simulator(
     var lastSig = -1L
     var stalledTicks = 0
     var allocSeconds = 0.0
-    collector.sample(qe.now)
     while (!qe.finished && qe.now < maxVirtualSeconds) {
       while (pending.nonEmpty && pending.head.at <= qe.now) applyAction(pending.dequeue())
+      if (qe.now - lastSample >= 1.0) {
+        collector.sample(qe.now); lastSample = qe.now
+      }
       tuner.foreach(_.step(qe.now, qe, sched))
       qe.cluster.resetTick(dt)
       qe.cluster.tick(dt)
@@ -60,9 +63,6 @@ final class Simulator(
       allocSeconds += qe.stages.iterator.map(_.liveTasks.map(_.driverCount).sum).sum * dt
       if (qe.now - lastElastic >= qe.costs.elasticWindow) {
         qe.elasticTick(); lastElastic = qe.now
-      }
-      if (qe.now - lastSample >= 1.0) {
-        collector.sample(qe.now); lastSample = qe.now
       }
       val sig = qe.progressSignature
       if (sig == lastSig) {

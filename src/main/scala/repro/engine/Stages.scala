@@ -36,6 +36,8 @@ abstract class StageExec(val defn: StageDef, val qe: QueryExec) {
 
   def allTasks: Seq[TaskExec] = groups.toSeq.flatMap(_.tasks)
   def liveTasks: Seq[TaskExec] = allTasks.filterNot(_.finished)
+  /** Active-group tasks still receiving input: the candidates of a reduction. */
+  def receivingTasks: Seq[TaskExec] = activeGroup.tasks.filter(t => !t.finished && !t.draining).toSeq
   def rowsOut: Long = allTasks.map(_.outputBuffer.rowsEmitted).sum
   def stageDop: Int = if (activeGroup == null) 0 else activeGroup.dop
   def taskDop: Int = allTasks.filterNot(_.finished).flatMap(_.pipelines.find(p => tunableKind.contains(p.kind)))
@@ -300,13 +302,14 @@ final class PipeStageExec(val pipeDef: ShuffleStageDef, qe0: QueryExec) extends 
     * its queues are end-marked, it drains and closes (§4.4).
     */
   def removeTask(now: Double): Boolean = {
-    val candidates = activeGroup.tasks.filterNot(_.finished)
+    val candidates = receivingTasks
     if (candidates.size <= 1) return false
     val t = candidates.last
     qe.stage(pipeDef.childStageId).allTasks.foreach { p =>
       t.inputQueues.foreach(q => p.outputBuffer.removeTarget(q))
     }
     t.inputQueues.foreach(_.markEnd())
+    t.draining = true
     true
   }
 

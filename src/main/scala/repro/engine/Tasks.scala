@@ -86,6 +86,9 @@ final class TaskExec(val stage: StageExec, val group: TaskGroup, val seq: Int,
   val pipelines = ArrayBuffer[PipelineExec]()
   var finished = false
 
+  /** End-signalled by an intra-stage DOP reduction: drains, then closes (§4.4). */
+  var draining = false
+
   def pipeline(kind: PipelineKind): Option[PipelineExec] = pipelines.find(_.kind == kind)
 
   def addPipeline(kind: PipelineKind, nDrivers: Int, now: Double)(factory: TaskExec => DriverExec): PipelineExec = {

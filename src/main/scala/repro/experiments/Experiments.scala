@@ -16,23 +16,19 @@ import repro.sparkbridge.SparkTables
 final case class Trigger(scanStageId: Int, atProgress: Double, action: TuningAction)
 
 /** TunerHook that fires progress triggers through the DOP tuning request
-  * filter, recording accepted and rejected requests (§5.2).
+  * filter, recording accepted and rejected requests (§5.2) and the what-if
+  * prediction (§5.3) for each accepted stage-DOP change.
   */
 final class ProgressScript(triggers: Seq[Trigger]) extends TunerHook {
   private val fired = mutable.Set[Int]()
-  private var collector: InfoCollector = _
-  private var filter: RequestFilter = _
-  private var lastSample = -1e18
 
   /** (time, rendered action, Right(()) or Left(reason)). */
   val log = mutable.ArrayBuffer[(Double, TuningAction, Either[String, Unit])]()
 
+  /** (time, accepted action, prediction taken just before applying it). */
+  val predictions = mutable.ArrayBuffer[(Double, SetStageDop, Prediction)]()
+
   def step(now: Double, qe: QueryExec, sched: DynamicScheduler): Unit = {
-    if (collector == null) {
-      collector = new InfoCollector(qe)
-      filter = new RequestFilter(new Predictor(qe, collector))
-    }
-    if (now - lastSample >= 1.0) { collector.sample(now); lastSample = now }
     triggers.zipWithIndex.foreach { case (tr, i) =>
       if (!fired(i)) {
         val prog = qe.stage(tr.scanStageId) match {
@@ -41,8 +37,15 @@ final class ProgressScript(triggers: Seq[Trigger]) extends TunerHook {
         }
         if (prog >= tr.atProgress) {
           fired += i
-          val verdict = filter.vet(tr.action, qe, now)
-          verdict.foreach(_ => sched.apply(tr.action, now))
+          val predictor = new Predictor(qe, qe.collector)
+          val verdict = new RequestFilter(predictor).vet(tr.action, qe, now)
+          verdict.foreach { _ =>
+            tr.action match {
+              case a: SetStageDop => predictor.predict(a.stageId, a.to).foreach(p => predictions += ((now, a, p)))
+              case _ => ()
+            }
+            sched.apply(tr.action, now)
+          }
           log += ((now, tr.action, verdict))
         }
       }
@@ -238,47 +241,23 @@ object Experiments {
     def errorFrac: Double = errorSeconds / math.max(1e-9, actualFinish - atTime + 1e-9)
   }
 
-  /** Predict-then-apply: before each DOP switch the what-if service estimates
-    * the stage's remaining time at the new DOP; after the run the estimate is
-    * compared with the stage's actual completion time (Fig 29's check).
+  /** Predict-then-apply, as a progress script: before each accepted DOP
+    * switch the what-if service estimates the stage's remaining time at the
+    * new DOP; after the run the estimate is compared with the stage's actual
+    * completion time (Fig 29's check).
     */
   def q3Prediction(t: Tpch, costs: CostModel): (SimResult, Vector[PredictionCheck]) = {
     val plan = Planner.plan(Queries.q3Plan(t))
-    val sOrders = scanIdOf(plan, "orders")
-    val sLineitem = scanIdOf(plan, "lineitem")
     val jMid = joinAboveScan(plan, "orders")
     val jTop = joinAboveScan(plan, "lineitem")
-
-    val checks = mutable.ArrayBuffer[(Int, Double, Int, Prediction)]()
-    val hook = new TunerHook {
-      private var collector: InfoCollector = _
-      private var predictor: Predictor = _
-      private var lastSample = -1e18
-      private val fired = mutable.Set[Int]()
-      private val triggers = Seq((sOrders, 0.25, jMid, 8), (sLineitem, 0.30, jTop, 8))
-      def step(now: Double, qe: QueryExec, sched: DynamicScheduler): Unit = {
-        if (collector == null) {
-          collector = new InfoCollector(qe); predictor = new Predictor(qe, collector)
-        }
-        if (now - lastSample >= 1.0) { collector.sample(now); lastSample = now }
-        triggers.zipWithIndex.foreach { case ((scan, prog, stage, toDop), i) =>
-          if (!fired(i)) {
-            val p = qe.stage(scan).asInstanceOf[ScanStageExec].progress
-            if (p >= prog) {
-              fired += i
-              predictor.predict(stage, toDop).foreach { pr =>
-                checks += ((stage, now, toDop, pr))
-                sched.apply(SetStageDop(now, stage, toDop), now)
-              }
-            }
-          }
-        }
-      }
-    }
+    val script = new ProgressScript(Seq(
+      Trigger(scanIdOf(plan, "orders"), 0.25, SetStageDop(0, jMid, 8)),
+      Trigger(scanIdOf(plan, "lineitem"), 0.30, SetStageDop(0, jTop, 8)),
+    ))
     val qe = new QueryExec(plan, Cluster.default(costs), costs, 2, 3)
-    val res = new Simulator(qe, tuner = Some(hook)).run()
-    val out = checks.toVector.map { case (sid, at, toDop, pr) =>
-      PredictionCheck(sid, at, toDop, pr, at + pr.tPredicted, qe.stage(sid).completedAt)
+    val res = new Simulator(qe, tuner = Some(script)).run()
+    val out = script.predictions.toVector.map { case (at, a, pr) =>
+      PredictionCheck(a.stageId, at, a.to, pr, at + pr.tPredicted, qe.stage(a.stageId).completedAt)
     }
     (res, out)
   }

@@ -15,19 +15,15 @@ class ControlPlaneSpec extends AnyFunSuite {
     keep(scan(items), "i_order", "i_val"), "o_id", "i_order"),
     Seq("i_order"), count("cnt"))
 
-  /** Run the query, invoking `probe(now, qe, predictor)` each tick. */
+  /** Run the query, invoking `probe(now, qe, predictor)` each tick; the
+    * predictor reads the query's own collector.
+    */
   private def runWithHook(plan: QueryPlan, stageDop: Int = 1)(
       probe: (Double, QueryExec, Predictor, DynamicScheduler) => Unit): (SimResult, QueryExec) = {
     val qe = new QueryExec(plan, cluster(c), c, stageDop, 1)
-    var pred: Predictor = null
-    var coll: InfoCollector = null
-    var lastSample = -1e9
+    val pred = new Predictor(qe, qe.collector)
     val hook = new TunerHook {
-      def step(now: Double, q: QueryExec, sched: DynamicScheduler): Unit = {
-        if (pred == null) { coll = new InfoCollector(q); pred = new Predictor(q, coll) }
-        if (now - lastSample >= 0.5) { coll.sample(now); lastSample = now }
-        probe(now, q, pred, sched)
-      }
+      def step(now: Double, q: QueryExec, sched: DynamicScheduler): Unit = probe(now, q, pred, sched)
     }
     (new Simulator(qe, tuner = Some(hook)).run(), qe)
   }
@@ -35,7 +31,7 @@ class ControlPlaneSpec extends AnyFunSuite {
   test("scanStageFor walks the probe lineage to the driving scan") {
     val plan = Planner.plan(query)
     val qe = new QueryExec(plan, cluster(c), c, 1, 1)
-    val pred = new Predictor(qe, new InfoCollector(qe))
+    val pred = new Predictor(qe, qe.collector)
     val join = plan.joinStages.head
     val scanId = plan.scanStages.find(_.table.name == "items").get.id
     assert(pred.scanStageFor(join.id).map(_.id).contains(scanId))
@@ -114,7 +110,7 @@ class ControlPlaneSpec extends AnyFunSuite {
     val plan = Planner.plan(query)
     val qe = new QueryExec(plan, cluster(c), c, 1, 1)
     qe.init()
-    val f = new RequestFilter(new Predictor(qe, new InfoCollector(qe)))
+    val f = new RequestFilter(new Predictor(qe, qe.collector))
     val join = plan.joinStages.head.id
     assert(f.vet(SetTaskDop(0, join, 0), qe, 0).isLeft) // dop < 1
     assert(f.vet(SetStageDop(0, 1, 4), qe, 0).isLeft) // final agg: fixed
@@ -126,7 +122,7 @@ class ControlPlaneSpec extends AnyFunSuite {
     val plan = Planner.plan(query)
     val qe = new QueryExec(plan, cluster(c), c, 1, 1)
     qe.init()
-    val f = new RequestFilter(new Predictor(qe, new InfoCollector(qe)))
+    val f = new RequestFilter(new Predictor(qe, qe.collector))
     val vet = f.vet(SetStageDop(0, plan.joinStages.head.id, 3), qe, 0)
     assert(vet.isLeft && vet.left.exists(_.contains("build side")))
   }

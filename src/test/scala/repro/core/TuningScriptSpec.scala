@@ -36,7 +36,19 @@ class TuningScriptSpec extends AnyFunSuite {
   }
 
   test("render round-trips the operation kind") {
-    assert(TuningScript.render(SetTaskDop(5, 2, 3)).startsWith("AC S2"))
-    assert(TuningScript.render(SetStageDop(5, 2, 3)).startsWith("AP S2"))
+    assert(TuningScript.render(SetTaskDop(5, 2, 3), 1).startsWith("AC S2"))
+    assert(TuningScript.render(SetStageDop(5, 2, 3), 1).startsWith("AP S2"))
+  }
+
+  test("render prints the real from-DOP") {
+    assert(TuningScript.render(SetTaskDop(5, 2, 3), 1) == "AC S2,1,3@5.0")
+    assert(TuningScript.render(SetStageDop(7.5, 4, 6), 2) == "AP S4,2,6@7.5")
+  }
+
+  test("render prints reductions of either kind as RP") {
+    assert(TuningScript.render(SetStageDop(150, 1, 2), 4) == "RP S1,4,2@150.0")
+    assert(TuningScript.render(SetTaskDop(9, 3, 1), 4) == "RP S3,4,1@9.0")
+    assert(TuningScript.parseLine(TuningScript.render(SetStageDop(150, 1, 2), 4)) ==
+      SetStageDop(150.0, 1, 2))
   }
 }

@@ -50,6 +50,46 @@ class SimulatorSpec extends AnyFunSuite {
       lean.allocatedDriverSeconds / lean.duration)
   }
 
+  test("the simulator samples the query's own collector") {
+    val plan = Planner.plan(agg(scan(items), Nil, count("cnt")))
+    val qe = new QueryExec(plan, cluster(c), c, 1, 1)
+    val sim = new Simulator(qe)
+    val res = sim.run()
+    assert(sim.collector eq qe.collector)
+    assert(res.collector eq qe.collector)
+  }
+
+  test("collector samples once per virtual second, plus one at the end") {
+    val slow = c.copy(dataScale = 20000.0) // several virtual seconds
+    val plan = Planner.plan(agg(scan(items), Nil, count("cnt")))
+    val qe = new QueryExec(plan, cluster(slow), slow, 1, 1)
+    val res = new Simulator(qe).run()
+    val times = qe.collector.samples.map(_.t).toVector
+    assert(times.head == 0.0)
+    assert(times.last == res.duration)
+    assert(times.size >= 4)
+    val gaps = times.zip(times.tail).map { case (a, b) => b - a }
+    assert(gaps.forall(_ > 0), s"sample times not strictly increasing: $times")
+    assert(gaps.init.forall(g => g >= 1.0 && g < 1.0 + slow.tickSeconds + 1e-9), s"times: $times")
+  }
+
+  test("a hook at a 1 s mark reads a sample taken at now") {
+    val slow = c.copy(dataScale = 20000.0)
+    val plan = Planner.plan(agg(scan(items), Nil, count("cnt")))
+    val qe = new QueryExec(plan, cluster(slow), slow, 1, 1)
+    val fresh = scala.collection.mutable.ArrayBuffer[Double]()
+    val hook = new TunerHook {
+      def step(now: Double, q: QueryExec, sched: DynamicScheduler): Unit = {
+        val last = q.collector.samples.last
+        assert(now - last.t < 1.0) // never more than a second stale
+        if (last.t == now) fresh += now
+      }
+    }
+    new Simulator(qe, tuner = Some(hook)).run()
+    // every sample but the final one was taken at a tick the hook saw
+    assert(fresh.toVector == qe.collector.samples.map(_.t).toVector.init)
+  }
+
   test("progress signature is monotone over a run") {
     val plan = Planner.plan(agg(scan(items), Nil, count("cnt")))
     val qe = new QueryExec(plan, cluster(c), c, 1, 1)

@@ -102,6 +102,55 @@ class TuningE2ESpec extends AnyFunSuite {
     assert(applied(res, s"RP S$j"))
   }
 
+  /** Tasks of stage `sid`'s active group that an upstream producer still
+    * routes input or probe rows to.
+    */
+  private def routedTo(qe: QueryExec, sid: Int): Int = {
+    val targets = qe.plan.childrenOf(sid)
+      .flatMap(c => qe.stage(c).allTasks.flatMap(_.outputBuffer.currentTargets))
+    qe.stage(sid).activeGroup.tasks.count { t =>
+      (t.inputQueues ++ t.probeQueues).exists(q => targets.exists(_ eq q))
+    }
+  }
+
+  /** Run with `script`; on the first tick at or after `at` (the scripted
+    * actions of that tick already applied), record how many tasks of `sid`
+    * upstream still routes to and how many the stage counts as receiving.
+    */
+  private def runObserving(plan: QueryPlan, sid: Int, at: Double, stageDop: Int,
+                           overrides: Map[Int, Int], script: Seq[TuningAction]): (SimResult, Int, Int) = {
+    val qe = new QueryExec(plan, cluster(c), c, stageDop, 1, overrides)
+    var seen = Option.empty[(Int, Int)]
+    val hook = new TunerHook {
+      def step(now: Double, q: QueryExec, sched: DynamicScheduler): Unit =
+        if (seen.isEmpty && now >= at) seen = Some((routedTo(q, sid), q.stage(sid).receivingTasks.size))
+    }
+    val res = new Simulator(qe, script, tuner = Some(hook)).run()
+    val (routed, receiving) = seen.get
+    (res, routed, receiving)
+  }
+
+  test("shuffle-stage RP 4 -> 1 end-signals three distinct tasks") {
+    val plan = Planner.plan(joinCount, shuffleStageFor = Set("items"))
+    val shuffleId = plan.stages.collectFirst { case s: ShuffleStageDef => s.id }.get
+    val (res, routed, receiving) = runObserving(plan, shuffleId, 0.8, 1, Map(shuffleId -> 4),
+      Seq(SetStageDop(0.8, shuffleId, 1)))
+    assert(canon(res) == expected)
+    assert(routed == 1 && receiving == 1, s"routed=$routed receiving=$receiving")
+    assert(applied(res, s"RP S$shuffleId 4 -> 1"), res.requestLog)
+  }
+
+  test("broadcast RP 3 -> 1 end-signals two distinct tasks") {
+    val q = agg(joinB(keep(scan(orders), "o_id"), keep(scan(items), "i_order"),
+      "o_id", "i_order"), Nil, count("cnt"))
+    val plan = Planner.plan(q)
+    val j = plan.joinStages.head.id
+    val (res, routed, receiving) = runObserving(plan, j, 1.2, 3, Map.empty, Seq(SetStageDop(1.2, j, 1)))
+    assert(canon(res) == Vector("1800"))
+    assert(routed == 1 && receiving == 1, s"routed=$routed receiving=$receiving")
+    assert(applied(res, s"RP S$j 3 -> 1"), res.requestLog)
+  }
+
   test("elastic shuffle stage DOP add/remove preserves results (§4.6)") {
     val plan = Planner.plan(joinCount, shuffleStageFor = Set("items"))
     val shuffleId = plan.stages.collectFirst { case s: ShuffleStageDef => s.id }.get

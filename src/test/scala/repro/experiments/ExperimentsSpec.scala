@@ -49,6 +49,26 @@ class ExperimentsSpec extends SparkSpec {
     assert(times == times.sorted)
   }
 
+  test("progress scripts predict each accepted stage-DOP switch, and only those") {
+    val plan = Planner.plan(Queries.q2jPlan(t))
+    val scan = Experiments.scanIdOf(plan, "lineitem")
+    val join = Experiments.joinAboveScan(plan, "lineitem")
+    val slow = costs.copy(dataScale = 100.0)
+    val script = new ProgressScript(Seq(
+      Trigger(scan, 0.20, SetTaskDop(0, join, 2)),
+      Trigger(scan, 0.40, SetStageDop(0, join, 3)),
+      Trigger(scan, 0.50, SetStageDop(0, scan, 4)), // scans have fixed stage DOP
+    ))
+    val qe = new QueryExec(plan, Cluster.default(slow), slow, 1, 1)
+    new Simulator(qe, tuner = Some(script)).run()
+    assert(script.rejected.map(_._2) == Vector(SetStageDop(0, scan, 4)))
+    val acceptedSwitches = script.accepted.collect { case (at, a: SetStageDop) => (at, a) }
+    assert(acceptedSwitches.map(_._2) == Vector(SetStageDop(0, join, 3)))
+    assert(script.predictions.map(p => (p._1, p._2)).toVector == acceptedSwitches)
+    val p = script.predictions.head._3
+    assert(p.nfRequested == 3.0 && p.tPredicted <= p.tRemainNow)
+  }
+
   test("table1 layout uses the paper's schemes at tiny SF") {
     val rows = Experiments.table1(spark, 0.001, costs)
     assert(rows.size == 8)
