@@ -37,16 +37,18 @@ final class ElasticQueue(
   def free: Int = math.max(0, capacity - q.size)
   def consumed: Long = consumedTotal
 
-  /** Producer side: accept one row if there is space and (for cross-node
-    * transfers) NIC budget on both ends. Returns false to backpressure.
+  /** Admission: open, space for one row and (for cross-node transfers) NIC
+    * budget on both ends.
     */
-  def offer(row: Row): Boolean = {
-    if (closed) return false
-    if (free <= 0) return false
-    if (!Node.chargeNet(producerNode, consumerNode, costs.effBytes(bytesPerRow())))
-      return false
+  def accepts: Boolean = !closed && free > 0 && Node.netOpen(producerNode, consumerNode)
+
+  /** Producer side: accept one row if `accepts`. Returns false to backpressure. */
+  def offer(row: Row): Boolean = accepts && { enqueue(row); true }
+
+  /** Charge and enqueue a row already admitted by `accepts`. */
+  def enqueue(row: Row): Unit = {
+    Node.spendNet(producerNode, consumerNode, costs.effBytes(bytesPerRow()))
     q.append(row)
-    true
   }
 
   /** Rebuild path (§4.5): staged rows bypass flow control. */
@@ -125,7 +127,9 @@ final class OutputBuffer(
   }
 
   /** Try to emit one row; returns false to backpressure the producing driver.
-    * Broadcast requires space in every target so a row is never half-sent.
+    * Broadcast admits a row only when every open target `accepts` it (space
+    * and NIC budget), then charges and enqueues it on all of them, so a row
+    * is never half-sent.
     */
   def tryEmit(row: Row): Boolean = {
     if (targets.isEmpty) return false
@@ -145,8 +149,8 @@ final class OutputBuffer(
         }
         sent
       case Routing.Broadcast =>
-        if (targets.forall(t => t.closed || t.free > 0)) {
-          targets.foreach(t => if (!t.closed) t.offer(row))
+        if (broadcastAdmits) {
+          targets.foreach(t => if (!t.closed) t.enqueue(row))
           true
         } else false
     }
@@ -157,10 +161,12 @@ final class OutputBuffer(
     ok
   }
 
+  private def broadcastAdmits: Boolean = targets.forall(t => t.closed || t.accepts)
+
   /** Could at least one row be emitted right now? (runnability check) */
   def canEmit: Boolean =
     targets.nonEmpty && (routing match {
-      case Routing.Broadcast => targets.forall(t => t.closed || t.free > 0)
+      case Routing.Broadcast => broadcastAdmits
       case _ => targets.exists(t => !t.closed && t.free > 0)
     })
 

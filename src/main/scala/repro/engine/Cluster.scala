@@ -58,16 +58,22 @@ final class Node(val id: Int, val cores: Int, val costs: CostModel) {
 
 object Node {
 
-  /** Charge a cross-node transfer against both NIC budgets; same-node moves are
-    * free. Soft admission: a transfer is allowed when both budgets are
-    * positive, and may drive them slightly negative (bounded by one row).
+  /** Soft NIC admission: a cross-node transfer is allowed while both budgets
+    * are positive; same-node moves are always allowed.
     */
-  def chargeNet(from: Node, to: Node, bytes: Double): Boolean = {
-    if (from eq to) true
-    else if (from.netBudget > 0 && to.netBudget > 0) {
-      from.netBudget -= bytes; to.netBudget -= bytes; true
-    } else false
-  }
+  def netOpen(from: Node, to: Node): Boolean =
+    (from eq to) || (from.netBudget > 0 && to.netBudget > 0)
+
+  /** Charge an admitted transfer against both NIC budgets; same-node moves are
+    * free. It may drive them slightly negative (one row, or one row per
+    * target of a broadcast).
+    */
+  def spendNet(from: Node, to: Node, bytes: Double): Unit =
+    if (!(from eq to)) { from.netBudget -= bytes; to.netBudget -= bytes }
+
+  /** Admit and charge one transfer; false when either budget is spent. */
+  def chargeNet(from: Node, to: Node, bytes: Double): Boolean =
+    netOpen(from, to) && { spendNet(from, to, bytes); true }
 }
 
 /** The simulated cluster: `dataNodes` hold table splits and run scan tasks

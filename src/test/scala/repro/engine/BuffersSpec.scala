@@ -127,6 +127,19 @@ class BuffersSpec extends AnyFunSuite {
     assert(buf.cache.get.size == 10) // cached once, not per target
   }
 
+  test("broadcast admits a row only with NIC budget for every target, then sends it to all") {
+    val p = node(0); val cn = node(1)
+    p.netBudget = 16.0 // two targets' worth of 8-byte rows, not three
+    val buf = new OutputBuffer(p, Routing.Broadcast, cached = false)
+    val qs = sink(3, p, cn)
+    buf.setTargets(qs)
+    assert(buf.tryEmit(r(1))) // admitted while the budget is positive
+    assert(qs.forall(_.size == 1), qs.map(_.size))
+    assert(p.netBudget == 16.0 - 3 * 8.0)
+    assert(!buf.canEmit && !buf.tryEmit(r(2)))
+    assert(qs.forall(_.size == 1) && buf.rowsEmitted == 1)
+  }
+
   test("single routing goes to the head target only") {
     val p = node(0); val cn = node(1)
     val buf = new OutputBuffer(p, Routing.Single, cached = false)

@@ -102,6 +102,13 @@ class TuningE2ESpec extends AnyFunSuite {
     assert(applied(res, s"RP S$j"))
   }
 
+  for (nic <- Seq("1e7", "2e6", "5e5")) test(s"broadcast fan-out keeps every build row at netBytesPerSec = $nic") {
+    val q = agg(joinB(keep(scan(orders), "o_id"), keep(scan(items), "i_order"),
+      "o_id", "i_order"), Nil, count("cnt"))
+    val res = runPlan(Planner.plan(q), stageDop = 3, c = c.copy(netBytesPerSec = nic.toDouble))
+    assert(canon(res) == Vector("1800"))
+  }
+
   /** Tasks of stage `sid`'s active group that an upstream producer still
     * routes input or probe rows to.
     */

@@ -7,8 +7,8 @@ import repro.engine.CostModel
   * table layout are the expensive part), reused by every Spark-backed suite.
   */
 object Fixtures {
-  val TestSf = 0.004 // lineitem ≈ 24k rows: big enough to exercise shuffles,
-  // small enough for the DuckDB oracle round trips
+  val TestSf = 0.004 // lineitem ≈ 24k rows: big enough to exercise shuffles;
+  // the oracle collects each fixture DataFrame once and bulk-loads it per check
 
   lazy val tpch: Tpch = Queries.loadTpch(SparkSpec.shared, TestSf, (0 until 10).toVector)
 
